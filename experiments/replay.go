@@ -17,14 +17,12 @@ import (
 // the two iteration-loop shapes the paper's optimization (p) targets —
 // a tiled Cholesky factorization sweep and a LULESH-like staged stencil
 // with an inoutset timestep reduction — with empty task bodies, so the
-// measured time is pure runtime machinery, and compares three replay
+// measured time is pure runtime machinery, and compares two replay
 // strategies:
 //
 //	adaptive        — Adaptive(never-changed): the body re-runs every
 //	                  iteration and each Submit degenerates to the
 //	                  recorded task's firstprivate update
-//	frozen-generic  — Frozen() with NoCompiledReplay: captured-closure
-//	                  replay through per-task sentinel releases
 //	frozen-compiled — Frozen(): the compiled flat schedule (CSR
 //	                  successors, one-copy predecessor reset)
 //
@@ -37,7 +35,7 @@ import (
 
 // ReplaySchemaVersion identifies the BENCH_replay.json layout; bump on
 // incompatible changes so stale baselines fail loudly.
-const ReplaySchemaVersion = 1
+const ReplaySchemaVersion = 2
 
 // ReplayParams sizes the two workloads and the measurement.
 type ReplayParams struct {
@@ -186,23 +184,20 @@ func luleshReplayBody(r *rt.Runtime, chunks, stages int) func(int) {
 
 // replayModes enumerates the swept strategies.
 var replayModes = []struct {
-	name      string
-	frozen    bool
-	noCompile bool
+	name   string
+	frozen bool
 }{
-	{"adaptive", false, false},
-	{"frozen-generic", true, true},
-	{"frozen-compiled", true, false},
+	{"adaptive", false},
+	{"frozen-compiled", true},
 }
 
 // runReplayOnce runs one Persistent region of the given length and
 // returns its wall time and heap allocation count.
-func runReplayOnce(p ReplayParams, workload, mode string, noCompile, frozen bool, iters int) (wall float64, mallocs uint64, err error) {
+func runReplayOnce(p ReplayParams, workload, mode string, frozen bool, iters int) (wall float64, mallocs uint64, err error) {
 	r, err := rt.NewRuntime(rt.Config{
-		Workers:          p.Workers,
-		Opts:             graph.OptAll,
-		Obs:              obs.Options{Disable: true},
-		NoCompiledReplay: noCompile,
+		Workers: p.Workers,
+		Opts:    graph.OptAll,
+		Obs:     obs.Options{Disable: true},
 	})
 	if err != nil {
 		return 0, 0, err
@@ -252,7 +247,6 @@ type ReplayRow struct {
 type ReplaySpeedup struct {
 	Workload           string  `json:"workload"`
 	CompiledVsAdaptive float64 `json:"compiled_vs_adaptive"`
-	CompiledVsGeneric  float64 `json:"compiled_vs_generic"`
 }
 
 // ReplayResult is the benchmark output committed as BENCH_replay.json.
@@ -293,11 +287,11 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 		for _, w := range replayWorkloads {
 			for _, m := range replayModes {
 				c := cells[w+"/"+m.name]
-				wallW, alW, err := runReplayOnce(p, w, m.name, m.noCompile, m.frozen, p.WarmIters)
+				wallW, alW, err := runReplayOnce(p, w, m.name, m.frozen, p.WarmIters)
 				if err != nil {
 					return res, err
 				}
-				wallF, alF, err := runReplayOnce(p, w, m.name, m.noCompile, m.frozen, p.Iters)
+				wallF, alF, err := runReplayOnce(p, w, m.name, m.frozen, p.Iters)
 				if err != nil {
 					return res, err
 				}
@@ -339,7 +333,6 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 		sp := ReplaySpeedup{Workload: w}
 		if compiled > 0 {
 			sp.CompiledVsAdaptive = nsPerTask[w+"/adaptive"] / compiled
-			sp.CompiledVsGeneric = nsPerTask[w+"/frozen-generic"] / compiled
 		}
 		res.Speedups = append(res.Speedups, sp)
 	}
@@ -362,7 +355,7 @@ func (r *ReplayResult) Validate() error {
 		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ReplaySchemaVersion)
 	}
 	if len(r.Rows) != len(replayWorkloads)*len(replayModes) {
-		return fmt.Errorf("%d rows, want %d (2 workloads x 3 modes)", len(r.Rows), len(replayWorkloads)*len(replayModes))
+		return fmt.Errorf("%d rows, want %d (workloads x modes)", len(r.Rows), len(replayWorkloads)*len(replayModes))
 	}
 	seen := map[string]bool{}
 	for i, row := range r.Rows {
@@ -394,7 +387,7 @@ func (r *ReplayResult) Validate() error {
 		return fmt.Errorf("%d speedup entries, want %d", len(r.Speedups), len(replayWorkloads))
 	}
 	for _, sp := range r.Speedups {
-		if sp.CompiledVsAdaptive <= 0 || sp.CompiledVsGeneric <= 0 {
+		if sp.CompiledVsAdaptive <= 0 {
 			return fmt.Errorf("workload %s: non-positive speedup", sp.Workload)
 		}
 	}
@@ -473,7 +466,6 @@ func PrintReplay(w io.Writer, r *ReplayResult) {
 			row.AllocsPerIter, row.AllocsPerTask)
 	}
 	for _, sp := range r.Speedups {
-		fmt.Fprintf(w, "speedup %s: compiled %.2fx vs adaptive, %.2fx vs frozen-generic\n",
-			sp.Workload, sp.CompiledVsAdaptive, sp.CompiledVsGeneric)
+		fmt.Fprintf(w, "speedup %s: compiled %.2fx vs adaptive\n", sp.Workload, sp.CompiledVsAdaptive)
 	}
 }

@@ -85,8 +85,7 @@ type Compiled struct {
 //
 // Recordings containing detached tasks are rejected with
 // ErrCompileDetached (frozen replay cannot re-fire their events); any
-// other error reports an internal indegree mismatch, in which case the
-// caller should fall back to the generic replay path.
+// other error reports misuse or an internal indegree mismatch.
 func (g *Graph) Compile() (*Compiled, error) {
 	if !g.persistent || g.recording {
 		return nil, fmt.Errorf("graph: Compile outside a persistent region (or recording still open)")

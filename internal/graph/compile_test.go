@@ -160,7 +160,7 @@ func TestCompiledReplayPoisonConeAndScrub(t *testing.T) {
 	}
 }
 
-func TestCompiledReplayAllocFree(t *testing.T) {
+func TestCompiledReplayZeroAllocs(t *testing.T) {
 	g, c := newTestGraph(OptAll)
 	g.BeginRecording()
 	// A wider structure than the diamond: 4 chains of 8 joined at a sink.

@@ -307,7 +307,7 @@ func TestReplayPoolReuse(t *testing.T) {
 		if err := g.BeginReplay(); err != nil {
 			t.Fatal(err)
 		}
-		g.ReplayAll()
+		g.AbortReplay() // re-release the whole recording
 		if err := g.FinishReplay(); err != nil {
 			t.Fatal(err)
 		}

@@ -46,8 +46,9 @@
 // # Persistence
 //
 // BeginRecording/EndRecording capture a task sub-graph; BeginReplay,
-// Replay/ReplayAll and FinishReplay re-instantiate it with per-task
-// cost reduced to a firstprivate copy (persist.go). Replay reuses the
+// Replay and FinishReplay re-instantiate it with per-task cost reduced
+// to a firstprivate copy (persist.go); Compile lowers a frozen
+// recording into a flat replay schedule (compile.go). Replay reuses the
 // recorded Task objects and their successor storage, so a replay
 // iteration performs no discovery and no allocation.
 //

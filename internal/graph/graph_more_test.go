@@ -123,7 +123,7 @@ func TestSequentialRecordingsIndependent(t *testing.T) {
 	}
 }
 
-func TestReplayAllKeepsRecordedState(t *testing.T) {
+func TestAbortReplayKeepsRecordedState(t *testing.T) {
 	g, c := newTestGraph(OptAll)
 	g.BeginRecording()
 	var seen []int
@@ -152,13 +152,13 @@ func TestReplayAllKeepsRecordedState(t *testing.T) {
 	if err := g.BeginReplay(); err != nil {
 		t.Fatal(err)
 	}
-	g.ReplayAll()
+	g.AbortReplay()
 	if err := g.FinishReplay(); err != nil {
 		t.Fatal(err)
 	}
 	run()
-	// Frozen replay: firstprivate captured at record time, so the same
-	// 0..3 sequence repeats.
+	// Re-released without resubmission: firstprivate captured at record
+	// time, so the same 0..3 sequence repeats.
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	if len(seen) != len(want) {
 		t.Fatalf("seen = %v", seen)

@@ -12,19 +12,16 @@ import "fmt"
 // chunks, same successor slices), and the recorded sequence buffer
 // keeps its capacity across re-recordings.
 //
-// Two replay grades share the recording. The generic grade in this
-// file re-releases each recorded task through the normal sentinel
-// machinery — BeginReplay resets per-task counters, then either the
-// producer resubmits and Replay maps each submission to its recorded
-// instance (plain/adaptive regions, firstprivate updatable per
-// iteration), or ReplayAll re-releases every captured closure in one
-// sweep (frozen regions). The compiled grade (compile.go) lowers a
-// frozen recording further, into a flat CSR schedule whose only
-// per-iteration mutable state is one predecessor-count vector reset
-// with a single copy; rt drives it when a Frozen region compiles
-// cleanly. The grades are behaviorally identical — same barrier, same
-// failure/poison semantics, same divergence detection — differing
-// only in replay cost.
+// Two replay grades share the recording. The one in this file
+// re-releases each recorded task through the normal sentinel machinery:
+// BeginReplay resets per-task counters, then the producer resubmits and
+// Replay maps each submission to its recorded instance (plain/adaptive
+// regions, firstprivate updatable per iteration). The compiled grade
+// (compile.go) lowers a frozen recording into a flat CSR schedule whose
+// only per-iteration mutable state is one predecessor-count vector reset
+// with a single copy; rt drives every Frozen region through it. Both
+// grades have the same barrier, failure/poison semantics and divergence
+// detection.
 
 // BeginRecording enters persistent discovery: tasks submitted until
 // EndRecording are recorded, never pruned (every edge is materialized so
@@ -90,6 +87,10 @@ func (g *Graph) BeginReplay() error {
 // recorded body form is kept otherwise. attach, when non-nil, replaces
 // the task's Attach before the instance is released (detached tasks
 // need a fresh event per iteration).
+//
+// A submission past the end of the recording has no instance to map
+// to: Replay returns nil, runs nothing, and FinishReplay reports the
+// overflow.
 func (g *Graph) Replay(fp any, body func(fp any), do func(fp any) error, attach any) *Task {
 	for g.replayIndex < len(g.recorded) && g.recorded[g.replayIndex].Redirect {
 		r := g.recorded[g.replayIndex]
@@ -98,7 +99,8 @@ func (g *Graph) Replay(fp any, body func(fp any), do func(fp any) error, attach 
 		g.releaseSentinel(r, nil)
 	}
 	if g.replayIndex >= len(g.recorded) {
-		panic("graph: replay past end of recorded task sequence")
+		g.replayIndex++
+		return nil
 	}
 	t := g.recorded[g.replayIndex]
 	g.replayIndex++
@@ -130,21 +132,6 @@ func (g *Graph) FinishReplay() error {
 		return fmt.Errorf("graph: replay submitted %d of %d recorded tasks", g.replayIndex, len(g.recorded))
 	}
 	return nil
-}
-
-// ReplayAll re-instantiates the entire recording without touching any
-// task's firstprivate or body — the captured-closure replay semantics of
-// the OpenMP `taskgraph` proposal discussed in the paper's related work
-// ("all the closures are captured during first execution"). Even cheaper
-// than Replay, at the cost of forbidding per-iteration updates. Call
-// between BeginReplay and FinishReplay, instead of per-task Replay.
-func (g *Graph) ReplayAll() {
-	for g.replayIndex < len(g.recorded) {
-		t := g.recorded[g.replayIndex]
-		g.replayIndex++
-		g.replayed.Add(1)
-		g.releaseSentinel(t, nil)
-	}
 }
 
 // AbortReplay releases every not-yet-replayed recorded task (keeping its

@@ -144,3 +144,32 @@ func TestCPathAcrossFrozenReplay(t *testing.T) {
 		})
 	}
 }
+
+// TestCPathReleaseStampVsReplayReset replays a 64-pair Out->In graph
+// with precise critical-path profiling through both persistent drivers.
+// The finisher's release-time accounting must not read the task's
+// finish stamp after the terminal transition publishes the task: from
+// then on the producer's next iteration may reset it. Run with -race.
+func TestCPathReleaseStampVsReplayReset(t *testing.T) {
+	const pairs, iters = 64, 50
+	for _, frozen := range []bool{false, true} {
+		r := New(Config{Workers: 2, CPath: CPathOptions{Enable: true, Precise: true}})
+		body := func(int) {
+			for i := 0; i < pairs; i++ {
+				k := graph.Key(i)
+				r.Submit(Spec{Label: "w", Out: []graph.Key{k}, Body: func(any) {}})
+				r.Submit(Spec{Label: "r", In: []graph.Key{k}, Body: func(any) {}})
+			}
+		}
+		var opts []PersistentOption
+		if frozen {
+			opts = append(opts, Frozen())
+		}
+		if err := r.Persistent(iters, body, opts...); err != nil {
+			t.Fatalf("frozen=%v: Persistent: %v", frozen, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("frozen=%v: Close: %v", frozen, err)
+		}
+	}
+}

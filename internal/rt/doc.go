@@ -49,9 +49,14 @@
 // a timer remains, and it is a parked wait, not a sleep loop — wakes
 // still arrive immediately.
 //
-// Config.Engine selects between the lock-free scheduler and the
-// pre-rebuild mutex/broadcast baseline (sched.EngineMutex), which
-// tdgbench -exp executor compares head to head.
+// # Persistent regions
+//
+// Runtime.Persistent has two drivers. The default and Adaptive regions
+// share one: a recording iteration opens each segment and replays
+// re-run the body against it, each Submit mapping to its recorded task;
+// a submission stream that changes shape fails with ErrReplayShape.
+// Frozen regions record once, compile the recording into a flat replay
+// schedule (graph.Compile) and replay only that.
 //
 // # Hot-path layering
 //

@@ -19,46 +19,29 @@ import (
 	"taskdep/internal/verify"
 )
 
-// Config parametrizes a Runtime. The surface is organized into
-// grouped sub-structs — Sched (executor), Discovery (TDG discovery),
-// Throttle (producer windows), Obs (observability), Tune
-// (self-tuning) — with the historical top-level fields (Policy,
-// Engine, Opts, ThrottleReady, ThrottleTotal) kept as working twins
-// for backward compatibility. Either form may be used; setting a
-// legacy field and its grouped twin to conflicting values is a
-// NewRuntime validation error, never a silent precedence rule, and
-// after construction both forms carry the merged value.
+// Config parametrizes a Runtime. Every field has one form; the zero
+// value of each is its default. CPath, Obs and Tune group the
+// critical-path profiler, observability and self-tuning knobs.
 type Config struct {
 	// Workers is the number of worker goroutines ("cores"). The producer
 	// is an additional goroutine (the caller of Submit), matching the
 	// paper's single-producer model. Default 1.
 	Workers int
 
-	// Sched groups the executor knobs: scheduling order and engine
-	// implementation.
-	Sched SchedOptions
-	// Discovery groups the TDG-discovery knobs.
-	Discovery DiscoveryOptions
-	// Throttle groups the producer-throttle windows.
-	Throttle ThrottleOptions
-
 	// Policy selects depth-first (default, MPC-OMP-like) or
-	// breadth-first scheduling. Legacy twin of Sched.Policy.
+	// breadth-first scheduling.
 	Policy sched.Policy
-	// Engine selects the scheduler implementation: EngineLockFree
-	// (default — Chase–Lev deques, wake-one parking) or EngineMutex
-	// (the pre-rebuild mutex/broadcast baseline, kept for comparison
-	// runs; see tdgbench -exp executor). Legacy twin of Sched.Engine.
-	Engine sched.Engine
-	// Opts enables TDG discovery optimizations (b) and (c). Legacy
-	// twin of Discovery.Opts.
+	// Opts enables TDG discovery optimizations (b) and (c); see
+	// graph.OptDedup, graph.OptInOutSetNode, graph.OptAll.
 	Opts graph.Opt
-	// ThrottleReady bounds ready tasks (GCC/LLVM-style); 0 = unbounded.
-	// Legacy twin of Throttle.Ready.
+	// ThrottleReady and ThrottleTotal are the producer-throttle windows
+	// ("task creation throttling", paper §2): the producer stops
+	// producing and starts consuming when either is exceeded.
+	// ThrottleReady bounds ready tasks (GCC/LLVM-style); ThrottleTotal
+	// bounds live tasks, ready or not (MPC-OMP's extra threshold for
+	// dependent tasks). 0 = unbounded. The live values are
+	// runtime-resizable via Runtime.SetThrottle.
 	ThrottleReady int64
-	// ThrottleTotal bounds live tasks, ready or not (MPC-OMP's extra
-	// threshold for dependent tasks); 0 = unbounded. Legacy twin of
-	// Throttle.Total.
 	ThrottleTotal int64
 	// Profile, if non-nil, receives breakdown/trace events. It must be
 	// created with at least Workers+1 slots; slot Workers is the
@@ -71,8 +54,8 @@ type Config struct {
 	// Verify enables the TDG verifier (internal/verify). Off: zero
 	// overhead. Observe: dependence declarations are recorded at
 	// submission, persistent replays are checked for structural
-	// divergence (a lying PersistentAdaptive `changed` callback makes
-	// Persistent* return ErrReplayDivergence), and Runtime.Verify runs
+	// divergence (a lying Adaptive `changed` callback makes Persistent
+	// return ErrReplayDivergence), and Runtime.Verify runs
 	// the full audit on demand. Full: additionally audits at every
 	// Taskwait (see Runtime.LastVerifyReport). Verify mode materializes
 	// normally-pruned edges (graph.OptKeepPrunedEdges) and retains all
@@ -101,12 +84,6 @@ type Config struct {
 	// the scheduler's wake policy against detrimental task patterns.
 	// Zero value: off. See docs/architecture.md, "Self-tuning".
 	Tune tune.Options
-	// NoCompiledReplay disables the frozen-graph compiler: Frozen
-	// persistent regions replay through the generic recorded-sequence
-	// machinery (per-task sentinel releases) instead of a compiled flat
-	// schedule. Benchmark baseline knob (tdgbench -exp replay compares
-	// the two); leave false in production.
-	NoCompiledReplay bool
 }
 
 // Runtime executes dependent tasks discovered by a single producer.
@@ -272,7 +249,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		cfg:        cfg,
-		s:          sched.NewEngine(cfg.Policy, cfg.Workers, cfg.Engine),
+		s:          sched.New(cfg.Policy, cfg.Workers),
 		start:      time.Now(),
 		detachLive: make(map[*graph.Task]*Event),
 	}
@@ -389,7 +366,6 @@ func (rt *Runtime) ObsAddr() string { return rt.obsSrv.Addr() }
 // tasks run, exact at quiescent points.
 type Snapshot struct {
 	Workers         int         `json:"workers"`
-	Engine          string      `json:"engine"`
 	Policy          string      `json:"policy"`
 	Live            int64       `json:"live"`
 	Ready           int64       `json:"ready"`
@@ -411,7 +387,6 @@ func (rt *Runtime) Introspect() Snapshot {
 	rt.failMu.Unlock()
 	return Snapshot{
 		Workers:         rt.cfg.Workers,
-		Engine:          rt.cfg.Engine.String(),
 		Policy:          rt.cfg.Policy.String(),
 		Live:            rt.g.Live(),
 		Ready:           rt.g.ReadyCount(),
@@ -596,8 +571,10 @@ func (rt *Runtime) registerDetached(t *graph.Task, ev *Event) {
 }
 
 // Submit discovers one task. Producer-only. In a persistent replay it
-// degenerates to the recorded task's firstprivate update. It returns the
-// detach event for Detached tasks, else nil.
+// degenerates to the recorded task's firstprivate update; a replay
+// submission past the end of the recording is dropped (the region then
+// fails with ErrReplayShape). It returns the detach event for Detached
+// tasks, else nil.
 func (rt *Runtime) Submit(spec Spec) *Event {
 	rt.throttle()
 	body, do, ev := rt.wrapBody(&spec)
@@ -615,10 +592,13 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 		}
 		t = rt.g.Replay(spec.FirstPrivate, body, do, attach)
 		sp.End()
-		rt.obs.IncSlot(rt.producerID(), obs.CReplayHits)
 		if rt.ver != nil {
 			rt.ver.ReplayNext(spec.Label, deps)
 		}
+		if t == nil {
+			return nil
+		}
+		rt.obs.IncSlot(rt.producerID(), obs.CReplayHits)
 	} else {
 		d := graph.TaskDesc{
 			Label:        spec.Label,
@@ -1306,9 +1286,14 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// the window aggregation BEFORE the terminal transition below — its
 	// successor walk publishes the cp* values, and its live-count
 	// decrement is what lets a quiescent producer read the profiler
-	// slots without synchronization (see cpath.Profiler.Observe).
+	// slots without synchronization (see cpath.Profiler.Observe). The
+	// finish stamp is kept in a local for the release accounting at the
+	// end: once the transition publishes t, the producer's next replay
+	// iteration may reset t's stamps.
+	var finNs int64
 	if rt.cp != nil {
 		rt.g.StampFinish(t)
+		finNs = t.FinishAtNs()
 		rt.cp.Observe(w, t)
 	}
 	// Terminal-transition counters, on the finisher's shard (w == -1
@@ -1379,7 +1364,7 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// released successors' ready-wait, so it never enters the window's
 	// T1 (see cpath.Profiler.ObserveRelease).
 	if rt.cp != nil {
-		rt.cp.ObserveRelease(w, rt.cp.Now()-t.FinishAtNs())
+		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 	}
 }
 
@@ -1402,9 +1387,13 @@ const spillCap = 16
 // countdown reaching zero.
 func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, final graph.State) {
 	// Same critical-path ordering contract as finish: stamp and observe
-	// before the compiled release walk decrements anything.
+	// before the compiled release walk decrements anything, and keep the
+	// finish stamp in a local (BeginIteration may reset t once the walk
+	// has counted it down).
+	var finNs int64
 	if rt.cp != nil {
 		rt.g.StampFinish(t)
+		finNs = t.FinishAtNs()
 		rt.cp.Observe(w, t)
 	}
 	slotted := w >= 0 && w < len(rt.relBufs)
@@ -1417,13 +1406,13 @@ func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, fina
 			rt.s.WakeProducer()
 		}
 		if rt.cp != nil {
-			rt.cp.ObserveRelease(w, rt.cp.Now()-t.FinishAtNs())
+			rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 		}
 		return
 	}
 	released := cs.FinishIntoDeferred(t, rt.relBufs[w], final)
 	if rt.cp != nil {
-		rt.cp.ObserveRelease(w, rt.cp.Now()-t.FinishAtNs())
+		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 	}
 	switch {
 	case t.Redirect: // graph machinery, uncounted
@@ -1543,7 +1532,7 @@ var ErrReplayShape = errors.New("rt: persistent body changed its task stream bet
 // caught a persistent replay submitting a task stream whose labels or
 // dependence declarations differ from the recording — the replay
 // executed the recorded ordering, not the declared one. Typical cause:
-// a PersistentAdaptive `changed` callback that lied, or a Persistent
+// an Adaptive `changed` callback that lied, or a Persistent
 // body with hidden iteration dependence.
 var ErrReplayDivergence = errors.New("rt: persistent replay diverged from the recorded task structure")
 
@@ -1590,11 +1579,10 @@ type PersistentOption func(*persistentOpts)
 // docs/architecture.md, "Frozen-graph compilation"). Recordings with
 // detached tasks cannot be compiled or frozen (their captured
 // completion events cannot re-fire) and are rejected with
-// graph.ErrCompileDetached; Config.NoCompiledReplay falls back to the
-// generic sentinel-release frozen replay for comparison. Task bodies
-// still run under the full failure domain: panics, Abort and poison
-// cones behave exactly as on the generic path, and structural
-// divergence is still surfaced as ErrReplayDivergence when
+// graph.ErrCompileDetached; any other compile error is returned too.
+// Task bodies still run under the full failure domain: panics, Abort
+// and poison cones behave exactly as in a discovered graph, and
+// structural divergence is still surfaced as ErrReplayDivergence when
 // Config.Verify is on.
 func Frozen() PersistentOption {
 	return func(o *persistentOpts) { o.frozen = true }
@@ -1636,30 +1624,10 @@ func (rt *Runtime) Persistent(iters int, body func(iter int), opts ...Persistent
 	}
 	rt.inPersistent = true
 	defer func() { rt.inPersistent = false }()
-	switch {
-	case o.frozen:
+	if o.frozen {
 		return rt.persistentFrozen(iters, body)
-	case o.changed != nil:
-		return rt.persistentAdaptive(iters, body, o.changed)
-	default:
-		return rt.persistentPlain(iters, body)
 	}
-}
-
-// PersistentFrozen runs body once to record the task graph, then replays
-// it iters-1 more times without re-running the body.
-//
-// Deprecated: use Persistent(iters, func(int) { ... }, Frozen()).
-func (rt *Runtime) PersistentFrozen(iters int, body func()) error {
-	return rt.Persistent(iters, func(int) { body() }, Frozen())
-}
-
-// PersistentAdaptive runs body under the persistent extension,
-// re-recording whenever changed reports a shape change.
-//
-// Deprecated: use Persistent(iters, body, Adaptive(changed)).
-func (rt *Runtime) PersistentAdaptive(iters int, body func(iter int), changed func(iter int) bool) error {
-	return rt.Persistent(iters, body, Adaptive(changed))
+	return rt.persistentAdaptive(iters, body, o.changed)
 }
 
 // recordIteration runs one recording iteration: body under BeginRecording,
@@ -1684,106 +1652,21 @@ func (rt *Runtime) recordIteration(it int, body func(iter int)) error {
 	return werr
 }
 
-func (rt *Runtime) persistentPlain(iters int, body func(iter int)) error {
-	if err := rt.recordIteration(0, body); err != nil {
-		rt.g.EndPersistent()
-		return err
-	}
-	recorded := rt.g.RecordedLen()
-	for it := 1; it < iters; it++ {
-		if err := rt.g.BeginReplay(); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-		if rt.ver != nil {
-			rt.ver.BeginReplay(it, true)
-		}
-		rt.iter.Store(int32(it))
-		rt.replay = true
-		body(it)
-		rt.replay = false
-		if err := rt.g.FinishReplay(); err != nil {
-			// Release the rest of the recording so the graph can
-			// drain, then surface the mismatch (joined with any task
-			// failure the drain turned up).
-			rt.g.AbortReplay()
-			werr := rt.Taskwait()
-			rt.g.EndPersistent()
-			return errors.Join(fmt.Errorf("%w: %v (recorded %d tasks)", ErrReplayShape, err, recorded), werr)
-		}
-		werr := rt.Taskwait()
-		if p := rt.cfg.Profile; p != nil {
-			p.IterationEnd(rt.now())
-		}
-		if werr != nil {
-			rt.g.EndPersistent()
-			return werr
-		}
-		if err := rt.checkReplayDivergence(); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-	}
-	rt.g.EndPersistent()
-	return nil
-}
-
+// persistentFrozen records iteration 0 and replays the rest through
+// the compiled schedule. Detached recordings are rejected by Compile:
+// frozen replay re-releases captured closures, including an
+// already-fired completion event, so no later iteration could ever
+// finish.
 func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
+	defer rt.g.EndPersistent()
 	if err := rt.recordIteration(0, body); err != nil {
-		rt.g.EndPersistent()
 		return err
 	}
-	if !rt.cfg.NoCompiledReplay {
-		// Compile the recording into a flat replay schedule — the
-		// frozen fast path (see internal/graph/compile.go). Detached
-		// recordings are rejected outright: frozen replay re-releases
-		// captured closures, including an already-fired completion
-		// event, so no later iteration could ever finish. Any other
-		// compile error is an internal indegree mismatch; the generic
-		// sentinel-release replay below still works, so take it.
-		cs, err := rt.g.Compile()
-		switch {
-		case err == nil:
-			werr := rt.replayCompiled(cs, iters)
-			rt.g.EndPersistent()
-			return werr
-		case errors.Is(err, graph.ErrCompileDetached):
-			rt.g.EndPersistent()
-			return fmt.Errorf("rt: Persistent(Frozen()): %w", err)
-		}
+	cs, err := rt.g.Compile()
+	if err != nil {
+		return fmt.Errorf("rt: Persistent(Frozen()): %w", err)
 	}
-	for it := 1; it < iters; it++ {
-		if err := rt.g.BeginReplay(); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-		if rt.ver != nil {
-			// Frozen replays re-release captured closures without
-			// resubmitting; only the structural signature is checked.
-			rt.ver.BeginReplay(it, false)
-		}
-		rt.iter.Store(int32(it))
-		rt.g.ReplayAll()
-		rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, int64(rt.g.RecordedLen()))
-		if err := rt.g.FinishReplay(); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-		werr := rt.Taskwait()
-		if p := rt.cfg.Profile; p != nil {
-			p.IterationEnd(rt.now())
-		}
-		if werr != nil {
-			rt.g.EndPersistent()
-			return werr
-		}
-		if err := rt.checkReplayDivergence(); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-	}
-	rt.g.EndPersistent()
-	return nil
+	return rt.replayCompiled(cs, iters)
 }
 
 // replayCompiled runs iterations 1..iters-1 of a Frozen region through
@@ -1792,7 +1675,7 @@ func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
 // set, straight into its work-stealing deque with a fan-out wake), and
 // the countdown barrier — no key table, no pools, no hashing, no
 // per-task sentinel releases. Divergence checking, failure windows and
-// the abort protocol are the generic path's, verbatim.
+// the abort protocol are the discovered graph's, verbatim.
 func (rt *Runtime) replayCompiled(cs *graph.Compiled, iters int) error {
 	rt.compiled.Store(cs)
 	defer rt.compiled.Store(nil)
@@ -1802,9 +1685,8 @@ func (rt *Runtime) replayCompiled(cs *graph.Compiled, iters int) error {
 			return err
 		}
 		if rt.ver != nil {
-			// As in generic frozen replay: captured closures are
-			// re-released, not resubmitted; only the end-of-iteration
-			// structural signature is checked.
+			// Captured closures are re-released, not resubmitted; only
+			// the end-of-iteration structural signature is checked.
 			rt.ver.BeginReplay(it, false)
 		}
 		rt.iter.Store(int32(it))
@@ -1869,17 +1751,23 @@ func (rt *Runtime) compiledBarrier(cs *graph.Compiled) error {
 	return rt.takeFailure()
 }
 
+// persistentAdaptive drives plain and Adaptive persistent regions: a
+// recording iteration opens every segment, and replays follow while the
+// task stream's shape holds. A nil changed never reports a change, so
+// the whole region is one segment (plain Persistent). Iteration 0 is
+// always run, even when iters < 1.
 func (rt *Runtime) persistentAdaptive(iters int, body func(iter int), changed func(iter int) bool) error {
 	it := 0
-	for it < iters {
+	for it == 0 || it < iters {
 		// Record a fresh graph at the segment head.
 		if err := rt.recordIteration(it, body); err != nil {
 			rt.g.EndPersistent()
 			return err
 		}
+		recorded := rt.g.RecordedLen()
 		it++
 		// Replay while the shape holds.
-		for it < iters && !changed(it) {
+		for it < iters && (changed == nil || !changed(it)) {
 			if err := rt.g.BeginReplay(); err != nil {
 				rt.g.EndPersistent()
 				return err
@@ -1892,10 +1780,13 @@ func (rt *Runtime) persistentAdaptive(iters int, body func(iter int), changed fu
 			body(it)
 			rt.replay = false
 			if err := rt.g.FinishReplay(); err != nil {
+				// Release the rest of the recording so the graph can
+				// drain, then surface the mismatch (joined with any
+				// task failure the drain turned up).
 				rt.g.AbortReplay()
 				werr := rt.Taskwait()
 				rt.g.EndPersistent()
-				return errors.Join(fmt.Errorf("%w: %v (use changed() to flag shape changes)", ErrReplayShape, err), werr)
+				return errors.Join(fmt.Errorf("%w: %v (recorded %d tasks)", ErrReplayShape, err, recorded), werr)
 			}
 			werr := rt.Taskwait()
 			if p := rt.cfg.Profile; p != nil {

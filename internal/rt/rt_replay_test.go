@@ -110,30 +110,34 @@ func TestCompiledReplayPreservesOrdering(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesGenericFrozen runs the same region with the
-// compiler disabled and checks both the results and that the
-// NoCompiledReplay baseline really stays off the compiled path.
-func TestCompiledMatchesGenericFrozen(t *testing.T) {
+// TestCompiledMatchesPlainReplay runs the same region frozen and plain:
+// both must run every chunk once per iteration, and only the frozen
+// region may take the compiled path.
+func TestCompiledMatchesPlainReplay(t *testing.T) {
 	const depth, width, iters = 4, 4, 10
-	for _, noCompile := range []bool{false, true} {
-		r := New(Config{Workers: 2, Opts: graph.OptAll, NoCompiledReplay: noCompile})
+	for _, frozen := range []bool{false, true} {
+		r := New(Config{Workers: 2, Opts: graph.OptAll})
 		counts := newCounts(depth, width)
-		if err := r.Persistent(iters, stencilBody(r, counts, depth, width), Frozen()); err != nil {
-			t.Fatalf("NoCompiledReplay=%v: Persistent: %v", noCompile, err)
+		var opts []PersistentOption
+		if frozen {
+			opts = append(opts, Frozen())
+		}
+		if err := r.Persistent(iters, stencilBody(r, counts, depth, width), opts...); err != nil {
+			t.Fatalf("frozen=%v: Persistent: %v", frozen, err)
 		}
 		for s := range counts {
 			for c := range counts[s] {
 				if got := counts[s][c].Load(); got != iters {
-					t.Fatalf("NoCompiledReplay=%v: chunk (%d,%d) ran %d times, want %d", noCompile, s, c, got, iters)
+					t.Fatalf("frozen=%v: chunk (%d,%d) ran %d times, want %d", frozen, s, c, got, iters)
 				}
 			}
 		}
-		wantCompiled := int64(iters - 1)
-		if noCompile {
-			wantCompiled = 0
+		wantCompiled := int64(0)
+		if frozen {
+			wantCompiled = iters - 1
 		}
 		if got := r.Obs().Counter(obs.CReplayCompiled); got != wantCompiled {
-			t.Fatalf("NoCompiledReplay=%v: compiled iterations = %d, want %d", noCompile, got, wantCompiled)
+			t.Fatalf("frozen=%v: compiled iterations = %d, want %d", frozen, got, wantCompiled)
 		}
 		if err := r.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -297,5 +301,52 @@ func TestCompiledReplayEmptyRecording(t *testing.T) {
 	defer r.Close()
 	if err := r.Persistent(4, func(int) {}, Frozen()); err != nil {
 		t.Fatalf("Persistent: %v", err)
+	}
+}
+
+// TestReplayShapeError: a replayed body that submits one task fewer, or
+// one more, than the recording fails the region with ErrReplayShape
+// under both the plain and the Adaptive(never) driver. The graph must
+// drain and the runtime must stay usable.
+func TestReplayShapeError(t *testing.T) {
+	const n, iters = 4, 4
+	modes := []struct {
+		name string
+		opts []PersistentOption
+	}{
+		{"plain", nil},
+		{"adaptive-never", []PersistentOption{Adaptive(func(int) bool { return false })}},
+	}
+	for _, m := range modes {
+		for _, delta := range []int{-1, +1} {
+			t.Run(fmt.Sprintf("%s/%+d", m.name, delta), func(t *testing.T) {
+				r := New(Config{Workers: 2})
+				defer r.Close()
+				body := func(iter int) {
+					k := n
+					if iter == 2 {
+						k += delta
+					}
+					for i := 0; i < k; i++ {
+						r.Submit(Spec{Label: "t", InOut: []graph.Key{1}, Body: func(any) {}})
+					}
+				}
+				err := r.Persistent(iters, body, m.opts...)
+				if !errors.Is(err, ErrReplayShape) {
+					t.Fatalf("Persistent = %v, want ErrReplayShape", err)
+				}
+				if live := r.Graph().Live(); live != 0 {
+					t.Fatalf("%d tasks still live after the failed region", live)
+				}
+				var ran atomic.Bool
+				r.Submit(Spec{Label: "after", InOut: []graph.Key{1}, Body: func(any) { ran.Store(true) }})
+				if err := r.Taskwait(); err != nil {
+					t.Fatalf("Taskwait after the failed region = %v", err)
+				}
+				if !ran.Load() {
+					t.Fatal("task after the failed region did not run")
+				}
+			})
+		}
 	}
 }

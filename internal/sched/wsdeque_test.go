@@ -331,18 +331,8 @@ func BenchmarkWSDequeSteal(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerPushPopLockFree(b *testing.B) {
+func BenchmarkSchedulerPushPopOneWorker(b *testing.B) {
 	s := New(DepthFirst, 1)
-	tk := &graph.Task{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Push(0, tk)
-		s.Pop(0)
-	}
-}
-
-func BenchmarkSchedulerPushPopMutex(b *testing.B) {
-	s := NewEngine(DepthFirst, 1, EngineMutex)
 	tk := &graph.Task{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

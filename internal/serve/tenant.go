@@ -178,11 +178,11 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		// once and replayed as a compiled flat schedule — the typed
 		// dataflow facade lowers onto plain key dependences, so the
 		// paper's optimization (p) applies to served graphs unchanged.
-		err = t.rt.PersistentFrozen(iters, func() {
+		err = t.rt.Persistent(iters, func(int) {
 			for i := range specs {
 				t.rt.Submit(specs[i])
 			}
-		})
+		}, rt.Frozen())
 	}
 	done.Store(true)
 	close(stop)
@@ -350,9 +350,10 @@ func (m *Manager) Tenant(name string) (*Tenant, error) {
 		ready, total = m.opt.TightReady, m.opt.TightTotal
 	}
 	runtime, err := rt.NewRuntime(rt.Config{
-		Workers:  m.opt.Workers,
-		Throttle: rt.ThrottleOptions{Ready: ready, Total: total},
-		CPath:    rt.CPathOptions{Enable: m.opt.CPath},
+		Workers:       m.opt.Workers,
+		ThrottleReady: ready,
+		ThrottleTotal: total,
+		CPath:         rt.CPathOptions{Enable: m.opt.CPath},
 	})
 	if err != nil {
 		return nil, err

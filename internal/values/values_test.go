@@ -224,7 +224,7 @@ func TestProviderFailurePoisonsConsumers(t *testing.T) {
 
 // Value graphs replay through Persistent, including the compiled
 // Frozen path: slot values recompute every iteration.
-func TestPersistentFrozenReplay(t *testing.T) {
+func TestFrozenReplayRecomputesValues(t *testing.T) {
 	r := rt.New(rt.Config{Workers: 2})
 	defer r.Close()
 	s := NewStore()

@@ -320,7 +320,9 @@ func TaskFactorDist(dm *DistMatrix, r *rt.Runtime, comm *mpi.Comm) error {
 	tag := func(k, i int) int { return k*t + i }
 
 	// panelTile returns the local or ghost buffer of panel tile (i,k)
-	// and its dependence key.
+	// and its dependence key. It inserts ghost tiles into dm.tiles
+	// while earlier tasks run, so task bodies never read the map: each
+	// captures its tile buffers at submission.
 	panelTile := func(i, k int) ([]float64, graph.Key) {
 		if dm.Owner(k) == dm.Rank {
 			return dm.Tile(i, k), tileKey(i, k)
@@ -337,24 +339,26 @@ func TaskFactorDist(dm *DistMatrix, r *rt.Runtime, comm *mpi.Comm) error {
 		k := k
 		owner := dm.Owner(k)
 		if owner == dm.Rank {
+			kk := dm.Tile(k, k)
 			r.Submit(rt.Spec{
 				Label: "potrf",
 				InOut: []graph.Key{tileKey(k, k)},
-				Do:    func(any) error { return Potrf(dm.Tile(k, k), b) },
+				Do:    func(any) error { return Potrf(kk, b) },
 			})
 			for i := k + 1; i < t; i++ {
-				i := i
+				ik := dm.Tile(i, k)
 				r.Submit(rt.Spec{
 					Label: "trsm",
 					In:    []graph.Key{tileKey(k, k)},
 					InOut: []graph.Key{tileKey(i, k)},
-					Do:    func(any) error { Trsm(dm.Tile(k, k), dm.Tile(i, k), b); return nil },
+					Do:    func(any) error { Trsm(kk, ik, b); return nil },
 				})
 			}
 			// Send each sub-diagonal panel tile to every other rank
 			// (the factored diagonal is only needed by the owner).
 			for i := k + 1; i < t; i++ {
 				i := i
+				ik := dm.Tile(i, k)
 				for p := 0; p < P; p++ {
 					if p == dm.Rank {
 						continue
@@ -365,7 +369,7 @@ func TaskFactorDist(dm *DistMatrix, r *rt.Runtime, comm *mpi.Comm) error {
 						In:       []graph.Key{tileKey(i, k)},
 						Detached: true,
 						DetachedBody: func(_ any, ev *rt.Event) {
-							comm.Isend(dm.Tile(i, k), p, tag(k, i)).OnComplete(ev.Fulfill)
+							comm.Isend(ik, p, tag(k, i)).OnComplete(ev.Fulfill)
 						},
 					})
 				}
@@ -392,21 +396,22 @@ func TaskFactorDist(dm *DistMatrix, r *rt.Runtime, comm *mpi.Comm) error {
 			}
 			j := j
 			jkBuf, jkKey := panelTile(j, k)
+			jj := dm.Tile(j, j)
 			// SYRK on the diagonal tile of column j.
 			r.Submit(rt.Spec{
 				Label: "syrk",
 				In:    []graph.Key{jkKey},
 				InOut: []graph.Key{tileKey(j, j)},
-				Do:    func(any) error { Syrk(jkBuf, dm.Tile(j, j), b); return nil },
+				Do:    func(any) error { Syrk(jkBuf, jj, b); return nil },
 			})
 			for i := j + 1; i < t; i++ {
-				i := i
 				ikBuf, ikKey := panelTile(i, k)
+				ij := dm.Tile(i, j)
 				r.Submit(rt.Spec{
 					Label: "gemm",
 					In:    []graph.Key{ikKey, jkKey},
 					InOut: []graph.Key{tileKey(i, j)},
-					Do:    func(any) error { Gemm(ikBuf, jkBuf, dm.Tile(i, j), b); return nil },
+					Do:    func(any) error { Gemm(ikBuf, jkBuf, ij, b); return nil },
 				})
 			}
 		}

@@ -26,15 +26,20 @@ type TaskDesc struct {
 //
 //   - task IDs, the task/live counters and chunk-pool traffic are
 //     reserved once per batch instead of once per task;
-//   - tasks that become ready during the batch are published once, at
-//     the end, through OnReadyBatch when configured (one queue lock +
-//     one wake-up instead of len(batch));
+//   - tasks that become ready during the batch are gathered and
+//     published together through OnReadyBatch when configured (one
+//     queue lock + one wake-up instead of len(batch));
 //   - the deps slices in descs are only read during the call, so
 //     callers can build descs in reused buffers.
 //
-// Ready publication happening at batch end means a worker sees the
+// Gathered ready tasks are published at the end of the batch, or as
+// soon as Config.Idle reports a parked execution slot: after each
+// task's sentinel release the batch checks Idle and, if it is true,
+// hands what it has gathered to OnReadyBatch at once, so an idle pool
+// executes while the producer keeps discovering (the paper's
+// discovery/execution overlap). With no slot parked a worker sees the
 // first task of a batch at worst one batch later than with Submit —
-// the latency/throughput trade the paper's discovery argument is about.
+// but only a busy pool waits, so the amortization costs no idleness.
 // Like Submit, SubmitBatch is safe for concurrent producers (outside
 // recording mode) under the Graph concurrency contract: concurrent
 // producers must keep disjoint key footprints.
@@ -50,7 +55,7 @@ func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 	g.lrAdd(int64(n), 0)
 
 	var ready []*Task
-	cpath := g.cpath
+	cpath, idle := g.cpath, g.idle
 	for i := range descs {
 		var cpT0 int64
 		if cpath {
@@ -81,6 +86,10 @@ func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 			t.discNs = g.cpNow() - cpT0
 		}
 		g.releaseSentinel(t, &ready)
+		if len(ready) > 0 && idle != nil && idle() {
+			g.notifyReady(ready)
+			ready = ready[:0]
+		}
 	}
 	g.notifyReady(ready)
 	return out

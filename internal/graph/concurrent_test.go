@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // mpCollector is a thread-safe ready sink usable as OnReady/OnReadyBatch.
@@ -235,6 +239,221 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 	}
 	drain(t, g1, c1)
 	drain(t, g2, c2)
+}
+
+// TestSubmitBatchPublishesWhenIdle: with Config.Idle reporting a parked
+// slot, a batch of independent tasks is handed to OnReadyBatch task by
+// task while SubmitBatch is still discovering; without a parked slot
+// (or without Idle) the batch is published once, at the end.
+func TestSubmitBatchPublishesWhenIdle(t *testing.T) {
+	const n = 16
+	descs := make([]TaskDesc, n)
+	for i := range descs {
+		descs[i] = TaskDesc{Label: "t", Deps: []Dep{{Key: Key(i), Type: Out}}}
+	}
+	for _, tc := range []struct {
+		name string
+		idle func() bool
+		want []int // len(ts) of each OnReadyBatch call
+	}{
+		{"idle", func() bool { return true }, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{"busy", func() bool { return false }, []int{n}},
+		{"unset", nil, []int{n}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &mpCollector{}
+			var sizes []int
+			inBatch := false
+			g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one, Idle: tc.idle,
+				OnReadyBatch: func(ts []*Task) {
+					if !inBatch {
+						t.Errorf("OnReadyBatch called outside SubmitBatch")
+					}
+					sizes = append(sizes, len(ts))
+					c.many(ts)
+				}})
+			inBatch = true
+			g.SubmitBatch(descs, nil)
+			inBatch = false
+			if fmt.Sprint(sizes) != fmt.Sprint(tc.want) {
+				t.Fatalf("OnReadyBatch sizes %v, want %v", sizes, tc.want)
+			}
+			drain(t, g, c)
+			assertQuiescentStats(t, g, n)
+		})
+	}
+}
+
+// refKey is the sequential reference frontier of one key for
+// TestPruneWhileCompleting: the OpenMP dependence semantics restated
+// without redirect nodes, pruning or deduplication.
+type refKey struct {
+	out, readers, base []*Task
+	open               bool
+}
+
+// follow returns the tasks t must succeed for dependence d and advances
+// the frontier past t.
+func (k *refKey) follow(t *Task, d DepType) []*Task {
+	var preds []*Task
+	switch d {
+	case In:
+		preds = append(preds, k.out...)
+		k.readers = append(k.readers, t)
+		k.open = false
+	case Out, InOut:
+		preds = append(append(preds, k.out...), k.readers...)
+		k.out, k.readers, k.open = []*Task{t}, nil, false
+	case InOutSet:
+		if !k.open {
+			k.base = append(append([]*Task(nil), k.out...), k.readers...)
+			k.out, k.readers, k.open = nil, nil, true
+		}
+		preds = append(preds, k.base...)
+		k.out = append(k.out, t)
+	}
+	return preds
+}
+
+// TestPruneWhileCompleting races the lock-free prune path: workers
+// complete predecessors while one producer discovers their successors
+// (Submit and SubmitBatch, mid-batch publication toggling), so edges
+// land on predecessors in every state from live to just finished. Each
+// task must run exactly once, only after every predecessor of a
+// sequential reference finished, and the edge counters must balance.
+func TestPruneWhileCompleting(t *testing.T) {
+	const n = 6000
+	const workers = 3
+	const keys = 8
+	q := make(chan *Task, 2*n) // redirects included; pushes never block
+	var idle atomic.Bool
+	g := NewWithConfig(Config{
+		Opts:    OptAll,
+		OnReady: func(tk *Task) { q <- tk },
+		OnReadyBatch: func(ts []*Task) {
+			for _, tk := range ts {
+				q <- tk
+			}
+		},
+		Idle: func() bool { return idle.Load() },
+	})
+	// A global event clock orders body starts against finishes.
+	var clock atomic.Int64
+	runs := make([]atomic.Int32, 2*n)
+	started := make([]atomic.Int64, 2*n)
+	finished := make([]atomic.Int64, 2*n)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []*Task
+			for {
+				select {
+				case tk := <-q:
+					runs[tk.ID].Add(1)
+					g.Start(tk)
+					started[tk.ID].Store(clock.Add(1))
+					for spin := 0; spin < 20; spin++ {
+						runtime.Gosched() // a body: let discovery see Running
+					}
+					finished[tk.ID].Store(clock.Add(1))
+					buf = g.CompleteInto(tk, buf)
+					for _, s := range buf {
+						q <- s
+					}
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func(m int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(m))
+	}
+	types := []DepType{In, In, InOut, Out, InOutSet}
+	depsFor := func(buf []Dep) []Dep {
+		// One to three dependences on distinct keys of a small key set
+		// (an inoutset and another access to one key in the same task
+		// would be a cycle through the redirect node). Tasks writing
+		// several keys that a later task reads exercise deduplication
+		// against a finished predecessor.
+		k0 := next(keys)
+		for k := 1 + next(3); k > 0; k-- {
+			buf = append(buf, Dep{Key: Key((k0 + k) % keys), Type: types[next(len(types))]})
+		}
+		return buf
+	}
+	ref := make([]refKey, keys)
+	want := make(map[*Task][]*Task, n)
+	follow := func(tk *Task, deps []Dep) {
+		var preds []*Task
+		for _, d := range deps {
+			preds = append(preds, ref[d.Key].follow(tk, d.Type)...)
+		}
+		want[tk] = preds
+	}
+	var descs []TaskDesc
+	var deps []Dep
+	var tasks []*Task
+	for i := 0; i < n; {
+		// Throttle like a runtime does, so discovery stays close behind
+		// execution and meets finishing predecessors.
+		for g.Live() > 16 {
+			runtime.Gosched()
+		}
+		if next(2) == 0 {
+			d := depsFor(nil)
+			follow(g.Submit("s", d, nil, nil), d)
+			i++
+			continue
+		}
+		descs, deps = descs[:0], deps[:0]
+		for b := 0; b < 32 && i < n; b, i = b+1, i+1 {
+			start := len(deps)
+			deps = depsFor(deps)
+			descs = append(descs, TaskDesc{Label: "b", Deps: deps[start:len(deps):len(deps)]})
+		}
+		idle.Store(next(2) == 0)
+		tasks = g.SubmitBatch(descs, tasks[:0])
+		for j, tk := range tasks {
+			follow(tk, descs[j].Deps)
+		}
+	}
+	g.Flush()
+	deadline := time.Now().Add(20 * time.Second)
+	for g.Live() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("graph did not drain: %d live", g.Live())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	st := g.Stats()
+	for id := int64(0); id < st.Tasks; id++ {
+		if r := runs[id].Load(); r != 1 {
+			t.Fatalf("task %d ran %d times", id, r)
+		}
+	}
+	for tk, preds := range want {
+		for _, p := range preds {
+			if finished[p.ID].Load() > started[tk.ID].Load() {
+				t.Fatalf("task %d started before its predecessor %d finished", tk.ID, p.ID)
+			}
+		}
+	}
+	assertQuiescentStats(t, g, n)
+	if st.EdgesPruned == 0 || st.EdgesCreated == 0 || st.EdgesDuplicate == 0 {
+		t.Fatalf("stats = %+v: want created, pruned and duplicate edges", st)
+	}
 }
 
 // TestFlushStripedGroups opens inoutset groups on keys spread across

@@ -27,7 +27,11 @@
 //   - SubmitBatch (batch.go) amortizes ID reservation, counter updates,
 //     allocator traffic and ready-queue publication over a slice of
 //     TaskDescs; executors receive the batch's ready tasks in one
-//     OnReadyBatch call.
+//     OnReadyBatch call, or earlier, in pieces, while Config.Idle
+//     reports a parked execution slot.
+//   - An edge to a predecessor that already finished — most edges of a
+//     discovery-bound graph — is pruned without taking the
+//     predecessor's lock (see addEdge).
 //
 // # Structure of a submission
 //

@@ -122,8 +122,15 @@ type Config struct {
 	// OnReadyBatch, if non-nil, receives producer-side ready tasks in
 	// batches (SubmitBatch, Flush): one call replaces len(batch)
 	// OnReady calls, letting executors amortize queue locking. Tasks
-	// readied one at a time still go through OnReady.
+	// readied one at a time still go through OnReady. The slice is
+	// only valid for the duration of the call.
 	OnReadyBatch func([]*Task)
+	// Idle, if non-nil, reports whether an execution slot is parked
+	// waiting for work. SubmitBatch polls it after each task and, when
+	// it is true, publishes the ready tasks gathered so far instead of
+	// holding them to the end of the batch. It sits on the discovery
+	// hot path, so it must be cheap (the runtime's is one atomic load).
+	Idle func() bool
 	// Shards is the key-table stripe count, rounded up to a power of
 	// two; 0 means DefaultShards. 1 degenerates to a single global
 	// lock (the baseline configuration).
@@ -168,6 +175,7 @@ type Graph struct {
 	opts         Opt
 	onReady      ReadyFunc
 	onReadyBatch func([]*Task)
+	idle         func() bool
 
 	nextID atomic.Int64
 
@@ -248,6 +256,7 @@ func NewWithConfig(cfg Config) *Graph {
 		opts:         cfg.Opts,
 		onReady:      cfg.OnReady,
 		onReadyBatch: cfg.OnReadyBatch,
+		idle:         cfg.Idle,
 		shards:       make([]shard, p),
 		shardMask:    uint64(p - 1),
 		noPool:       cfg.NoPool,
@@ -530,11 +539,42 @@ func (g *Graph) RedirectNodes() []*Task {
 // duplicate elimination (b) and completed-predecessor pruning. succ must
 // be the task currently under discovery (owned by the calling producer);
 // the caller holds the shard lock its dependence is processed under.
+//
+// Most edges of a discovery-bound graph are pruned — the predecessor
+// already finished — so that case is decided before taking pred.mu: a
+// Done predecessor outside the current recording, with pruned edges not
+// kept, needs no lock. Reading lastSucc and failEpoch without the lock
+// is safe because finishInto writes failEpoch, and any earlier locked
+// addEdge wrote lastSucc, before the state store finishInto makes under
+// pred.mu; observing Done through the state atomic therefore observes
+// both writes. Nothing writes either field while the task stays Done:
+// the locked path materializes edges from a Done predecessor only in
+// verify mode or within the recording it belongs to, and both cases
+// skip the lock-free path. Live predecessors take the locked path too.
 func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 	if pred == succ {
 		return
 	}
 	sh.attempted++
+
+	// An edge is replay-relevant only when the predecessor belongs to
+	// the same recording: it will be re-instanced and complete again on
+	// every iteration. Edges from outside the recording (earlier tasks,
+	// earlier recordings) are one-time constraints — if the predecessor
+	// already completed they are pruned even while recording, otherwise
+	// they count toward the live indegree only.
+	sameRecording := g.recording && pred.Persistent && pred.recordEpoch == g.epoch
+	if !sameRecording && g.opts&OptKeepPrunedEdges == 0 {
+		if st := State(pred.state.Load()); st.Done() {
+			if g.opts&OptDedup != 0 && pred.lastSucc == succ {
+				sh.duplicate++
+				return
+			}
+			g.inheritFailure(pred, st, succ)
+			sh.pruned++
+			return
+		}
+	}
 
 	pred.mu.Lock()
 	if g.opts&OptDedup != 0 && pred.lastSucc == succ {
@@ -544,23 +584,9 @@ func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 	}
 	st := State(pred.state.Load())
 	done := st.Done()
-	if done && (st != Completed || pred.Poisoned()) &&
-		pred.failEpoch == g.failEpoch.Load() {
-		// The predecessor drained as Aborted/Skipped (or finished while
-		// poisoned) in the CURRENT failure window: the new successor
-		// joins the poisoned cone even when the edge is pruned and no
-		// longer orders execution. Predecessors that failed in an
-		// already-consumed window (ConsumeFailures ran since) don't
-		// poison — the producer observed that failure and moved on.
-		succ.Poison()
+	if done {
+		g.inheritFailure(pred, st, succ)
 	}
-	// An edge is replay-relevant only when the predecessor belongs to
-	// the same recording: it will be re-instanced and complete again on
-	// every iteration. Edges from outside the recording (earlier tasks,
-	// earlier recordings) are one-time constraints — if the predecessor
-	// already completed they are pruned even while recording, otherwise
-	// they count toward the live indegree only.
-	sameRecording := g.recording && pred.Persistent && pred.recordEpoch == g.epoch
 	if done && !sameRecording && g.opts&OptKeepPrunedEdges == 0 {
 		pred.mu.Unlock()
 		sh.pruned++
@@ -586,6 +612,19 @@ func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 	// In recording mode with a completed same-recording pred the edge
 	// exists for future iterations but contributes nothing to the live
 	// counter now.
+}
+
+// inheritFailure poisons succ when its Done predecessor drained as
+// Aborted/Skipped (or finished while poisoned) in the CURRENT failure
+// window: the new successor joins the poisoned cone even when the edge
+// is pruned and no longer orders execution. Predecessors that failed in
+// an already-consumed window (ConsumeFailures ran since) don't poison —
+// the producer observed that failure and moved on. st is pred's state,
+// loaded by the caller.
+func (g *Graph) inheritFailure(pred *Task, st State, succ *Task) {
+	if (st != Completed || pred.Poisoned()) && pred.failEpoch == g.failEpoch.Load() {
+		succ.Poison()
+	}
 }
 
 // releaseSentinel drops the producer's hold on t; if no predecessors

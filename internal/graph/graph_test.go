@@ -143,27 +143,97 @@ func TestEdgePruningToCompletedPredecessor(t *testing.T) {
 }
 
 func TestDuplicateEdgeEliminationOptB(t *testing.T) {
-	// Task w writes x and y; task r reads x and y: two attempted edges,
-	// one duplicate with OptDedup.
-	for _, opts := range []Opt{0, OptDedup} {
-		g, _ := newTestGraph(opts)
-		w := g.Submit("w", []Dep{{1, Out}, {2, Out}}, nil, nil)
-		r := g.Submit("r", []Dep{{1, In}, {2, In}}, nil, nil)
+	// Task w writes x and y; task r reads x and y: two attempted edges.
+	// With w live, OptDedup turns the second into a duplicate. If w
+	// finished before r, both edges are pruned: a pruned edge records no
+	// lastSucc to deduplicate against. If w finishes between r's two
+	// dependences, the first edge is created and the second — pruned
+	// without w's lock — still counts as a duplicate under OptDedup.
+	for _, tc := range []struct {
+		finish               string // when w completes: after, before or between r's deps
+		opts                 Opt
+		created, pruned, dup int64
+	}{
+		{"after", 0, 2, 0, 0},
+		{"after", OptDedup, 1, 0, 1},
+		{"before", 0, 0, 2, 0},
+		{"before", OptDedup, 0, 2, 0},
+		{"between", 0, 1, 1, 0},
+		{"between", OptDedup, 1, 0, 1},
+	} {
+		g, c := newTestGraph(tc.opts)
+		g.Submit("w", []Dep{{1, Out}, {2, Out}}, nil, nil)
+		w := c.pop()
+		if tc.finish == "before" {
+			g.Complete(w)
+		}
+		var r *Task
+		if tc.finish == "between" {
+			// Drive r's discovery by hand so w can complete between
+			// its two dependences.
+			r = g.allocTask()
+			r.preds.Store(1)
+			g.tasks.Add(1)
+			g.lrAdd(1, 0)
+			g.processDep(r, Dep{1, In}, nil)
+			g.Complete(w)
+			g.processDep(r, Dep{2, In}, nil)
+			g.releaseSentinel(r, nil)
+		} else {
+			r = g.Submit("r", []Dep{{1, In}, {2, In}}, nil, nil)
+		}
 		st := g.Stats()
-		if st.EdgesAttempted != 2 {
-			t.Fatalf("opts=%v attempted=%d, want 2", opts, st.EdgesAttempted)
+		if st.EdgesAttempted != 2 || st.EdgesCreated != tc.created ||
+			st.EdgesPruned != tc.pruned || st.EdgesDuplicate != tc.dup {
+			t.Fatalf("w finished %s, opts=%v: stats=%+v, want %d created, %d pruned, %d dup",
+				tc.finish, tc.opts, st, tc.created, tc.pruned, tc.dup)
 		}
-		wantCreated, wantDup := int64(2), int64(0)
-		if opts&OptDedup != 0 {
-			wantCreated, wantDup = 1, 1
+		if tc.finish == "after" {
+			g.Complete(w)
 		}
-		if st.EdgesCreated != wantCreated || st.EdgesDuplicate != wantDup {
-			t.Fatalf("opts=%v stats=%+v", opts, st)
-		}
-		g.Complete(w)
 		if r.State() != Ready {
-			t.Fatalf("opts=%v reader not released", opts)
+			t.Fatalf("w finished %s, opts=%v: reader not released", tc.finish, tc.opts)
 		}
+	}
+}
+
+// TestPrunedAbortedPredecessorPoisons: an edge to a predecessor that
+// drained Aborted is pruned without the predecessor's lock, yet the
+// successor still joins the poisoned cone — within the same failure
+// window only. After ConsumeFailures the same key is usable again.
+func TestPrunedAbortedPredecessorPoisons(t *testing.T) {
+	g, c := newTestGraph(OptAll)
+	w := g.Submit("w", []Dep{{1, Out}}, nil, nil)
+	if got := c.pop(); got != w {
+		t.Fatalf("writer not ready")
+	}
+	g.AbortInto(w, nil)
+	r := g.Submit("r", []Dep{{1, In}}, nil, nil)
+	if st := g.Stats(); st.EdgesPruned != 1 || st.EdgesCreated != 0 {
+		t.Fatalf("stats = %+v, want the edge pruned", st)
+	}
+	if !r.Poisoned() {
+		t.Fatalf("reader of an aborted writer in the same window not poisoned")
+	}
+	if got := c.pop(); got != r {
+		t.Fatalf("poisoned reader not ready")
+	}
+	g.SkipInto(r, nil)
+	// A skipped (poisoned) task poisons later readers too.
+	r2 := g.Submit("r2", []Dep{{1, InOut}}, nil, nil)
+	if !r2.Poisoned() {
+		t.Fatalf("successor of a skipped task in the same window not poisoned")
+	}
+	g.SkipInto(c.pop(), nil)
+
+	g.ConsumeFailures()
+	r3 := g.Submit("r3", []Dep{{1, In}}, nil, nil)
+	if r3.Poisoned() {
+		t.Fatalf("reader poisoned by a failure from a consumed window")
+	}
+	// r: w->r; r2: w->r2, r->r2; r3: r2->r3.
+	if st := g.Stats(); st.EdgesPruned != 4 || st.EdgesCreated != 0 {
+		t.Fatalf("stats = %+v, want every edge pruned", st)
 	}
 }
 

@@ -24,13 +24,22 @@ func TestCriticalPathEndpoint(t *testing.T) {
 		CPath:   CPathOptions{Enable: true, Precise: true},
 	})
 	defer r.Close()
+	// The first link waits until every link is submitted: a link that
+	// finished before its successor was discovered would have its edge
+	// pruned, and the fold would see a shorter chain.
+	gate := make(chan struct{})
 	for i := 0; i < n; i++ {
+		body := func(any) {}
+		if i == 0 {
+			body = func(any) { <-gate }
+		}
 		r.Submit(Spec{
 			Label: fmt.Sprintf("link%d", i),
 			InOut: []graph.Key{graph.Key(1)},
-			Body:  func(any) {},
+			Body:  body,
 		})
 	}
+	close(gate)
 	if err := r.Taskwait(); err != nil {
 		t.Fatalf("Taskwait: %v", err)
 	}

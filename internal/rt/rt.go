@@ -290,6 +290,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			// Batch submission: one queue lock + one wake-up.
 			rt.s.PushBatch(-1, ts)
 		},
+		Idle: func() bool {
+			// A parked slot makes SubmitBatch publish mid-batch.
+			return rt.s.IdleWorkers() > 0
+		},
 	})
 	rt.relBufs = make([][]*graph.Task, cfg.Workers+1)
 	rt.chained = make([]*graph.Task, cfg.Workers+1)
@@ -519,8 +523,10 @@ func (e *Event) Fulfill() {
 	rt.detachMu.Lock()
 	delete(rt.detachLive, t)
 	rt.detachMu.Unlock()
-	rt.complete(-1, t)
+	// Settle the gauge before the completion: once the graph drains a
+	// Taskwait may return, and the gauge must read 0 by then.
 	rt.detached.Add(-1)
+	rt.complete(-1, t)
 }
 
 // wrapBody prepares the execution closures for a spec, binding a detach
@@ -562,12 +568,22 @@ func (rt *Runtime) finishSubmit(t *graph.Task, ev *Event) *Event {
 // gets here. The fired guard keeps such an already-claimed task from
 // being inserted, and both this check and the claimers' delete run
 // under detachMu, so an entry can neither leak nor be claimed twice.
+//
+// The body may even have run and armed the event already, and an Abort
+// may have made its cancellation pass before the entry existed; the
+// re-check after insertion claims such a task. Either that check sees
+// armed and aborted, or the arming (armDetached) sees the abort and
+// re-runs the pass after the entry exists, or the Abort's own pass
+// comes after the insertion.
 func (rt *Runtime) registerDetached(t *graph.Task, ev *Event) {
 	rt.detachMu.Lock()
 	if !ev.fired.Load() {
 		rt.detachLive[t] = ev
 	}
 	rt.detachMu.Unlock()
+	if ev.armed.Load() && rt.aborted.Load() {
+		rt.cancelDetached()
+	}
 }
 
 // Submit discovers one task. Producer-only. In a persistent replay it
@@ -624,8 +640,11 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 const batchChunk = 256
 
 // SubmitBatch discovers every task in specs through the graph's batch
-// path, amortizing throttling checks, dependence staging, allocator
-// traffic and ready-queue publication across the batch. Producer-only,
+// path, amortizing throttling checks, dependence staging and allocator
+// traffic across the batch. Ready tasks are published together at the
+// end of each chunk, or mid-chunk as soon as a worker is parked (see
+// graph.SubmitBatch), so an idle pool starts executing while the
+// batch is still being discovered. Producer-only,
 // semantically equivalent to calling Submit for each spec in order
 // (inside a persistent replay it degenerates to exactly that).
 //
@@ -1047,8 +1066,8 @@ func (rt *Runtime) cancelDetached() {
 	}
 	rt.detachMu.Unlock()
 	for _, v := range victims {
+		rt.detached.Add(-1) // before the finish, as in Fulfill
 		rt.finish(-1, v.t, graph.Skipped)
-		rt.detached.Add(-1)
 	}
 }
 
@@ -1059,12 +1078,12 @@ func (rt *Runtime) detachEvent(t *graph.Task) *Event {
 	return t.Attach.(*Event)
 }
 
-// armDetached marks a detached task as waiting on external fulfillment
-// (body returned without failing). If an abort raced the arming, run
-// the cancellation pass again so the task cannot be stranded: either
-// the abort's pass saw armed (and claimed it), or this re-run does.
-func (rt *Runtime) armDetached(t *graph.Task) {
-	ev := rt.detachEvent(t)
+// armDetached marks a detached task's event as waiting on external
+// fulfillment (body returned without failing). If an abort raced the
+// arming, run the cancellation pass again so the task cannot be
+// stranded: either the abort's pass saw armed (and claimed it), or this
+// re-run does.
+func (rt *Runtime) armDetached(ev *Event) {
 	ev.armed.Store(true)
 	if rt.aborted.Load() {
 		rt.cancelDetached()
@@ -1111,8 +1130,16 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	// the authority. Running the body anyway would store Running over
 	// the terminal state, leaving a ghost-live task that silently blocks
 	// every later successor discovered against its keys.
-	if t.Detached && rt.detachEvent(t).fired.Load() {
-		return
+	//
+	// The event is read here, before the body runs: once the body
+	// returns, a Fulfill may already have completed the task and the
+	// next persistent iteration's Replay may have replaced t.Attach
+	// with that iteration's event.
+	var ev *Event
+	if t.Detached {
+		if ev = rt.detachEvent(t); ev.fired.Load() {
+			return
+		}
 	}
 	p := rt.cfg.Profile
 	slot := w
@@ -1154,13 +1181,13 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		}
 	}
 	if err != nil {
-		rt.fail(w, t, err)
+		rt.fail(w, t, ev, err)
 		return
 	}
-	if t.Detached {
+	if ev != nil {
 		// Completion arrives via Event.Fulfill; mark the task as out of
 		// the queues so an Abort may claim it.
-		rt.armDetached(t)
+		rt.armDetached(ev)
 		return
 	}
 	rt.complete(w, t)
@@ -1180,7 +1207,7 @@ func (rt *Runtime) executeCompiled(w int, t *graph.Task, cs *graph.Compiled) {
 	}
 	rt.g.StampStart(t) // no Running store on this path; stamp directly
 	if err := rt.runBody(t); err != nil {
-		rt.fail(w, t, err)
+		rt.fail(w, t, nil, err)
 		return
 	}
 	rt.finishCompiled(w, t, cs, graph.Completed)
@@ -1236,12 +1263,12 @@ func (rt *Runtime) skip(w int, t *graph.Task) {
 }
 
 // fail records t's failure and terminally completes it as Aborted,
-// poisoning the successor cone (see graph.AbortInto).
-func (rt *Runtime) fail(w int, t *graph.Task, cause error) {
+// poisoning the successor cone (see graph.AbortInto). ev is a detached
+// task's event, read before its body ran (nil otherwise).
+func (rt *Runtime) fail(w int, t *graph.Task, ev *Event, cause error) {
 	rt.obs.Instant(w, obs.InstAbort, t.ID, 0, int(rt.iter.Load()))
 	rt.recordFailure(t, cause)
-	if t.Detached {
-		ev := rt.detachEvent(t)
+	if ev != nil {
 		if ev.fired.Swap(true) {
 			// The body fulfilled its own event synchronously and then
 			// failed: the fulfillment completed the task and wins; the

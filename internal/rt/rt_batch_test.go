@@ -1,9 +1,11 @@
 package rt
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/verify"
@@ -90,6 +92,111 @@ func TestSubmitBatchDetached(t *testing.T) {
 	if got.Load() != 2 {
 		t.Fatalf("readers ran %d times", got.Load())
 	}
+}
+
+// waitParked waits until an execution slot of r is parked.
+func waitParked(t *testing.T, r *Runtime) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Scheduler().IdleWorkers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no worker parked")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// assertNoDetached checks that no detached task of r is registered or
+// counted as awaiting fulfillment.
+func assertNoDetached(t *testing.T, r *Runtime) {
+	t.Helper()
+	r.detachMu.Lock()
+	n := len(r.detachLive)
+	r.detachMu.Unlock()
+	if n != 0 || r.detached.Load() != 0 {
+		t.Fatalf("%d registered detached tasks, gauge %d", n, r.detached.Load())
+	}
+}
+
+// TestSubmitBatchDetachedToParkedWorker: with the only worker parked,
+// SubmitBatch publishes a batch's first ready task at once, so a
+// detached task can run — and its body fulfill its event — while the
+// producer is still discovering the batch and has not yet registered
+// the task (the publish-before-register window Submit also has). Each
+// round must drain with the detach registry empty and the detached
+// gauge back at 0.
+func TestSubmitBatchDetachedToParkedWorker(t *testing.T) {
+	r := New(Config{Workers: 1, Opts: graph.OptAll})
+	defer r.Close()
+	const rounds = 20
+	var ran, early atomic.Int64
+	var inBatch atomic.Bool
+	for round := 0; round < rounds; round++ {
+		waitParked(t, r)
+		specs := make([]Spec, 0, batchChunk)
+		specs = append(specs, Spec{Label: "d", Out: []graph.Key{0}, Detached: true,
+			DetachedBody: func(_ any, ev *Event) {
+				if inBatch.Load() {
+					early.Add(1)
+				}
+				ev.Fulfill()
+			}})
+		for i := 1; i < batchChunk; i++ {
+			specs = append(specs, Spec{Label: "r", In: []graph.Key{0},
+				InOut: []graph.Key{graph.Key(i)}, Body: func(any) { ran.Add(1) }})
+		}
+		inBatch.Store(true)
+		evs := r.SubmitBatch(specs)
+		inBatch.Store(false)
+		if evs[0] == nil {
+			t.Fatalf("round %d: no event for the detached spec", round)
+		}
+		if err := r.Taskwait(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if live := r.Graph().Live(); live != 0 {
+			t.Fatalf("round %d: %d live tasks after Taskwait", round, live)
+		}
+		assertNoDetached(t, r)
+	}
+	if got, want := ran.Load(), int64(rounds*(batchChunk-1)); got != want {
+		t.Fatalf("readers ran %d times, want %d", got, want)
+	}
+	t.Logf("detached body ran during SubmitBatch in %d of %d rounds", early.Load(), rounds)
+}
+
+// TestSubmitBatchDetachedAbortBeforeRegister: a detached task published
+// mid-batch to the parked worker aborts the runtime from its body and
+// returns unfulfilled, usually before the producer has registered it,
+// so the abort's cancellation pass cannot see it. The registration must
+// then claim it; otherwise the task waits forever on an event nobody
+// will fulfill and Taskwait never returns.
+func TestSubmitBatchDetachedAbortBeforeRegister(t *testing.T) {
+	// No deferred Close: after a hang it would block forever too.
+	r := New(Config{Workers: 1, Opts: graph.OptAll})
+	errStop := errors.New("stop")
+	for round := 0; round < 10; round++ {
+		waitParked(t, r)
+		specs := make([]Spec, 0, batchChunk)
+		specs = append(specs, Spec{Label: "d", Out: []graph.Key{0}, Detached: true,
+			DetachedBody: func(any, *Event) { r.Abort(errStop) }})
+		for i := 1; i < batchChunk; i++ {
+			specs = append(specs, Spec{Label: "r", InOut: []graph.Key{graph.Key(i)}, Body: func(any) {}})
+		}
+		r.SubmitBatch(specs)
+		waited := make(chan error, 1)
+		go func() { waited <- r.Taskwait() }()
+		select {
+		case err := <-waited:
+			if !errors.Is(err, errStop) {
+				t.Fatalf("round %d: Taskwait = %v, want the abort cause", round, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Taskwait hung with %d live tasks", round, r.Graph().Live())
+		}
+		assertNoDetached(t, r)
+	}
+	r.Close()
 }
 
 // TestSubmitBatchConcurrentProducers drives SubmitBatch from several
